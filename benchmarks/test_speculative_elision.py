@@ -16,7 +16,8 @@ wrong answer is a bug, not a speedup.
 
 Emits ``BENCH_speculate.json`` at the repository root:
     {program: {"base_s": ..., "spec_s": ..., "speedup": ...},
-     "_geomean": ...}
+     "_geomean": ..., "_provenance": {"git_sha": ..., "python": ...,
+     "host": ..., ...}}
 and folds it into ``BENCH_trajectory.json``.
 """
 
@@ -87,6 +88,7 @@ def test_speculative_pipeline_hits_2x(benchmark):
         return table
 
     table = benchmark.pedantic(regenerate, iterations=1, rounds=1)
+    table["_provenance"] = history.stamp(warmup=WARMUP, samples=SAMPLES)
 
     print("\ninterpreter, speculative elision + safe-O2 + dispatch "
           "vs. no-elision baseline:")

@@ -1280,7 +1280,7 @@ def main(argv: list[str] | None = None) -> int:
 
     gen_parser = sub.add_parser(
         "gen", help="generative differential oracle: seeded program "
-                    "generation, five-way tier comparison, minimizing "
+                    "generation, six-way tier comparison, minimizing "
                     "reduction",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="Programs are well-defined by construction, so any "
@@ -1332,7 +1332,7 @@ def main(argv: list[str] | None = None) -> int:
 
     gen_oracle = gen_sub.add_parser(
         "oracle", parents=[gen_common],
-        help="sweep seeds through the five-way differential oracle")
+        help="sweep seeds through the six-way differential oracle")
     gen_oracle.add_argument("--plant", default="mixed",
                             choices=("none", "spatial", "temporal",
                                      "mixed"),

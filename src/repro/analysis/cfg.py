@@ -1,9 +1,10 @@
 """Control-flow-graph utilities over ``ir.Function`` blocks.
 
 Predecessors, reverse postorder, immediate dominators (the Cooper/Harvey/
-Kennedy iterative algorithm), a ``dominates`` query, and natural-loop
-detection via back edges.  All clients (the dataflow solver, the lint
-driver, the check-elision pass) share this one view of the CFG.
+Kennedy iterative algorithm), a ``dominates`` query, dominance
+frontiers, and natural-loop detection via back edges.  All clients (the
+dataflow solver, the lint driver, the check-elision pass, mem2reg) share
+this one view of the CFG.
 """
 
 from __future__ import annotations
@@ -139,6 +140,23 @@ class ControlFlowGraph:
             b = self.idom[b]
             db -= 1
         return a is b
+
+    def dominance_frontiers(self) -> dict[Block, set[Block]]:
+        """Reachable block -> its dominance frontier: the blocks where
+        its dominance ends (Cooper/Harvey/Kennedy, Figure 5)."""
+        frontiers: dict[Block, set[Block]] = {
+            block: set() for block in self.reverse_postorder}
+        for block in self.reverse_postorder:
+            preds = [pred for pred in self.predecessors[block]
+                     if pred in self.rpo_index]
+            if len(preds) < 2:
+                continue
+            stop = self.idom[block]
+            for runner in preds:
+                while runner is not stop and block not in frontiers[runner]:
+                    frontiers[runner].add(block)
+                    runner = self.idom[runner]
+        return frontiers
 
     # -- loops --------------------------------------------------------------
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import glob
 import json
 import os
+import platform
+import subprocess
 
 SCHEMA_VERSION = 1
 TRAJECTORY_NAME = "BENCH_trajectory.json"
@@ -74,6 +76,30 @@ def merge(root: str, timestamp: str | None = None) -> dict:
                 handle.write("\n")
     return {"path": path, "runs": len(runs), "appended": appended,
             "benchmarks": sorted(snapshots)}
+
+
+def stamp(**extra) -> dict:
+    """Which code, Python and host produced a BENCH record: the checkout's
+    HEAD commit (``git_dirty`` when the working tree differs from it),
+    plus whatever the caller adds (sample counts, say)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+
+    def git(*args: str) -> str | None:
+        try:
+            done = subprocess.run(["git", *args], cwd=here, text=True,
+                                  capture_output=True, timeout=10)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain") if sha else None
+    return {"git_sha": sha,
+            "git_dirty": bool(status) if sha else None,
+            "python": platform.python_version(),
+            "host": platform.node(),
+            "nproc": os.cpu_count(),
+            **extra}
 
 
 def record_benchmark(root: str | None = None) -> dict:

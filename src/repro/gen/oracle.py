@@ -1,11 +1,12 @@
-"""Five-way differential driver for generated programs.
+"""Six-way differential driver for generated programs.
 
-Each program runs on five backends — the pure interpreter, the JIT
+Each program runs on six backends — the pure interpreter, the JIT
 (forced on from the first call), the check-elided configuration, the
-simulated native machine, and the ASan instrumentation — and the
-outcomes are compared under the paper's model:
+speculative tier (safe-O2 clone, loop guards, deopt), the simulated
+native machine, and the ASan instrumentation — and the outcomes are
+compared under the paper's model:
 
-- a **clean** program (nothing planted) is well-defined, so all five
+- a **clean** program (nothing planted) is well-defined, so all six
   executions must agree on exit status and output and none may report
   a bug.  Any disagreement is an engine bug: verdict ``divergence``.
 - a **planted** program carries one known memory-safety fault.  The
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 from .generator import GenConfig, GeneratedProgram, choose_plant, generate
 
-TIER_NAMES = ("interp", "jit", "elide", "native", "asan")
-MANAGED_TIERS = ("interp", "jit", "elide")
+TIER_NAMES = ("interp", "jit", "elide", "speculate", "native", "asan")
+MANAGED_TIERS = ("interp", "jit", "elide", "speculate")
 
 AGREE = "agree"
 PLANTED_CAUGHT = "planted-caught"
@@ -38,7 +39,7 @@ DIVERGENCE = "divergence"
 
 
 def make_tiers(cache_dir: str | None = None) -> dict:
-    """The five oracle backends.  A shared ``cache_dir`` keeps the
+    """The six oracle backends.  A shared ``cache_dir`` keeps the
     compilation/analysis cache warm across a sweep (the elision tier's
     interprocedural libc summaries dominate the cold cost)."""
     from ..tools import AsanRunner, NativeRunner, SafeSulongRunner
@@ -50,25 +51,20 @@ def make_tiers(cache_dir: str | None = None) -> dict:
             jit_threshold=1, cache_dir=cache_dir, use_cache=use_cache),
         "elide": SafeSulongRunner(
             elide_checks=True, cache_dir=cache_dir, use_cache=use_cache),
+        "speculate": SafeSulongRunner(
+            speculate=True, cache_dir=cache_dir, use_cache=use_cache),
         "native": NativeRunner(0),
         "asan": AsanRunner(0),
     }
 
 
-def managed_tiers(cache_dir: str | None = None,
-                  speculate: bool = True) -> dict:
-    """The managed subset of the oracle matrix, plus the speculative
-    tier: the drivers ``repro explain`` runs its divergence bisection
-    over.  Order matters — the first tier (the pure interpreter) is the
-    reference the others are compared against."""
-    from ..tools import SafeSulongRunner
+def managed_tiers(cache_dir: str | None = None) -> dict:
+    """The managed subset of the oracle matrix: the drivers ``repro
+    explain`` runs its divergence bisection over.  Order matters — the
+    first tier (the pure interpreter) is the reference the others are
+    compared against."""
     everything = make_tiers(cache_dir)
-    tiers = {name: everything[name] for name in MANAGED_TIERS}
-    if speculate:
-        tiers["speculate"] = SafeSulongRunner(
-            speculate=True, cache_dir=cache_dir,
-            use_cache=cache_dir is not None)
-    return tiers
+    return {name: everything[name] for name in MANAGED_TIERS}
 
 
 @dataclass
@@ -142,7 +138,7 @@ def run_oracle(source: str, manifest: dict | None = None,
                tiers: dict | None = None,
                cache_dir: str | None = None,
                seed: int | None = None) -> OracleReport:
-    """Run one program across all five tiers and classify."""
+    """Run one program across all six tiers and classify."""
     manifest = manifest or {}
     filename = filename or manifest.get("filename") or "gen-program.c"
     if tiers is None:
@@ -212,7 +208,7 @@ def classify(manifest: dict, outcomes: dict[str, TierOutcome],
                       "; ".join(reference.signatures))
 
     # Clean program: every tier must finish without a report and all
-    # five executions must be indistinguishable.
+    # six executions must be indistinguishable.
     for name, outcome in outcomes.items():
         if outcome.detected:
             return report(

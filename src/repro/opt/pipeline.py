@@ -16,13 +16,6 @@ from ..ir import types as irt
 from . import (backendfold, constfold, dce, deadstore, gvn, licm, loadwiden,
                loopdelete, mem2reg, nullcheck, simplifycfg)
 
-# Participates in safe-tier cache keys indirectly: the optimized clone's
-# printed IR is what gets hashed, but bump this to force re-optimization
-# when pass *behavior* changes without changing pass output on trivial
-# functions.
-SAFE_O2_VERSION = 1
-
-
 def run_o3(module: ir.Module, max_iterations: int = 8,
            load_widening: bool = False) -> None:
     """The -O2/-O3-style pipeline, iterated to fixpoint.

@@ -1,5 +1,5 @@
 """Oracle verdicts: classification logic on synthetic outcomes, and a
-small end-to-end sweep across all five tiers."""
+small end-to-end sweep across all six tiers."""
 
 import pytest
 
@@ -114,14 +114,14 @@ def shared_tiers(tmp_path_factory):
 
 
 class TestEndToEnd:
-    def test_clean_program_agrees_across_all_five_tiers(
+    def test_clean_program_agrees_across_all_tiers(
             self, shared_tiers):
         program = generate(4)
         report = run_oracle(program.source, program.manifest,
                             tiers=shared_tiers)
         assert report.verdict == AGREE, report.detail
         assert set(report.outcomes) == \
-            {"interp", "jit", "elide", "native", "asan"}
+            {"interp", "jit", "elide", "speculate", "native", "asan"}
 
     @pytest.mark.parametrize("plant", ["spatial", "temporal"])
     def test_planted_program_is_caught(self, shared_tiers, plant):

@@ -8,12 +8,17 @@ work, never an instruction whose execution is how an error gets found
 (loads, stores, geps, calls, division).
 """
 
+from collections import Counter
+
 import pytest
 
+from repro import ir
 from repro.cfront import compile_source
 from repro.core.engine import SafeSulong
 from repro.ir import instructions as inst
+from repro.libc.loader import libc_module
 from repro.opt import gvn, licm, mem2reg
+from repro.opt.mem2reg import _same_value
 from repro.opt.pipeline import (optimized_clone, run_safe_o2,
                                 run_safe_o2_function)
 
@@ -215,3 +220,160 @@ class TestPipeline:
         spec = SafeSulong(speculate=True).run_source(source)
         assert plain.status == spec.status
         assert plain.stdout == spec.stdout
+
+
+def _ssa_shape_violations(function):
+    """Dead phis (no non-phi instruction reaches them through the phi
+    web), trivial phis (one distinct incoming value besides themselves),
+    and phis whose incoming blocks are not exactly the block's
+    ``compute_predecessors()`` entries, duplicates included."""
+    preds = function.compute_predecessors()
+    phis = {phi.result: (block, phi)
+            for block in function.blocks for phi in block.phis()}
+    live, pending = set(), []
+    for instruction in function.instructions():
+        if isinstance(instruction, inst.Phi):
+            continue
+        for operand in instruction.operands():
+            if operand in phis and operand not in live:
+                live.add(operand)
+                pending.append(operand)
+    while pending:
+        for _, value in phis[pending.pop()][1].incoming:
+            if value in phis and value not in live:
+                live.add(value)
+                pending.append(value)
+    problems = []
+    for result, (block, phi) in phis.items():
+        where = f"@{function.name}:{block.label} %{result.name}"
+        if result not in live:
+            problems.append(f"dead phi {where}")
+        distinct = []
+        for _, value in phi.incoming:
+            if value is not result and not any(
+                    _same_value(value, seen) for seen in distinct):
+                distinct.append(value)
+        if len(distinct) <= 1:
+            problems.append(f"trivial phi {where}")
+        if Counter(id(pred) for pred, _ in phi.incoming) \
+                != Counter(id(pred) for pred in preds[block]):
+            problems.append(f"phi incoming != predecessors {where}")
+    return problems
+
+
+class TestSsaShape:
+    def test_libc_optimized_clones_have_pruned_phis(self):
+        problems, phis = [], 0
+        for function in libc_module().functions.values():
+            if not function.is_definition:
+                continue
+            clone = optimized_clone(function)
+            assert clone is not function, function._safe_o2_error
+            phis += sum(len(block.phis()) for block in clone.blocks)
+            problems.extend(_ssa_shape_violations(clone))
+        assert phis  # the libc loops do carry values through phis
+        assert problems == []
+
+    def test_same_target_condbr_keeps_duplicate_incoming(self):
+        # The else arm ends in a condbr whose two arms both go to the
+        # join, so the join lists it twice and so must x's phi there.
+        source = """
+            int main(void) {
+                int c = 3, x;
+                if (c > 2) x = 5; else x = 6;
+                return x;
+            }
+        """
+        module, main = _main(source)
+        entry_branch = main.entry.terminator
+        else_block = entry_branch.if_false
+        join = else_block.terminator.target
+        else_block.instructions[-1] = inst.CondBr(
+            entry_branch.condition, join, join)
+        mem2reg.run(main)
+        ir.validate_function(main)
+        assert _ssa_shape_violations(main) == []
+        [phi] = join.phis()
+        assert [pred for pred, _ in phi.incoming].count(else_block) == 2
+        assert SafeSulong().run_module(module).status == 5
+
+
+class TestMem2regShapes:
+    """mem2reg alone, on CFG shapes the front end builds from goto and
+    dead code; each promoted program must behave like the original."""
+
+    def _promoted_matches_original(self, source):
+        engine = SafeSulong()
+        original = engine.run_module(engine.compile(source))
+        module = engine.compile(source)
+        promoted = []
+        for name in ("main", "f"):
+            function = module.functions.get(name)
+            if function is not None and mem2reg.run(function):
+                ir.validate_function(function)
+                assert _ssa_shape_violations(function) == []
+                promoted.append(function)
+        assert promoted
+        result = SafeSulong().run_module(module)
+        assert (result.status, result.stdout) \
+            == (original.status, original.stdout)
+        assert not result.bugs and not result.crashed
+        return promoted
+
+    def test_goto_built_irreducible_loop(self):
+        # Two entries into the a/b cycle: neither block dominates the
+        # other, so there is no natural loop header.
+        [main] = self._promoted_matches_original("""
+            #include <stdio.h>
+            int main(void) {
+                int x = 1, n = 0, k = 5;
+                if (k & 1) goto b;
+            a:
+                x = x * 3 + n;
+                n++;
+            b:
+                x = x + 7;
+                n++;
+                if (n < 9) goto a;
+                printf("%d %d\\n", x, n);
+                return x & 0xff;
+            }
+        """)
+        assert any(block.phis() for block in main.blocks)
+
+    def test_unreachable_block_stores_to_promoted_variable(self):
+        # The code after `goto loop` is unreachable but still falls into
+        # the loop; its stores must not leak into the reachable values.
+        self._promoted_matches_original("""
+            #include <stdio.h>
+            int main(void) {
+                int x = 5, s = 0, i = 0;
+                goto loop;
+                x = 7;
+                s = 100;
+            loop:
+                s += x + i;
+                i++;
+                if (i < 4) goto loop;
+                printf("%d\\n", s);
+                return s;
+            }
+        """)
+
+    def test_variable_live_on_one_arm_only(self):
+        # t is redefined on the else arm but dead after the join: the
+        # minimal-SSA phi for it there is swept, only r's remains.
+        [f] = self._promoted_matches_original("""
+            #include <stdio.h>
+            int f(int c) {
+                int t = c * 3, r = 0;
+                if (c > 2) r = t + 1;
+                else { t = 9; r = 2; }
+                return r;
+            }
+            int main(void) {
+                printf("%d %d\\n", f(5), f(1));
+                return f(4);
+            }
+        """)
+        assert sum(len(block.phis()) for block in f.blocks) == 1
