@@ -9,7 +9,8 @@ file asserts the performance half and records the numbers).
 
 Emits `BENCH_elision.json` at the repository root:
     {program: {"plain_s": ..., "elided_s": ..., "plain_ops_per_s": ...,
-               "elided_ops_per_s": ..., "speedup": ...}}
+               "elided_ops_per_s": ..., "speedup": ...},
+     "_provenance": {commit, Python, host, warmup, samples}}
 """
 
 import json
@@ -51,9 +52,11 @@ def test_elision_speeds_up_interpreter(benchmark):
         return table
 
     table = benchmark.pedantic(regenerate, iterations=1, rounds=1)
+    table["_provenance"] = history.stamp(warmup=WARMUP, samples=SAMPLES)
 
     print("\ninterpreter, static check elision:")
-    for program, row in table.items():
+    for program in PROGRAMS:
+        row = table[program]
         print(f"  {program:16} {row['plain_s']:7.3f}s -> "
               f"{row['elided_s']:7.3f}s  ({row['speedup']:.2f}x)")
 
@@ -64,9 +67,11 @@ def test_elision_speeds_up_interpreter(benchmark):
 
     # Elision must never cost performance: every check it removes was
     # pure overhead, and the pass adds no runtime work of its own.
-    for program, row in table.items():
+    for program in PROGRAMS:
+        row = table[program]
         assert row["speedup"] > 1.0 / NOISE, (program, row)
     # ...and must measurably pay off on at least one program.
-    assert max(row["speedup"] for row in table.values()) > 1.10, table
+    assert max(table[program]["speedup"] for program in PROGRAMS) > 1.10, \
+        table
 
     benchmark.extra_info["elision"] = table

@@ -12,7 +12,8 @@ Three rates matter for running the oracle as an endless corpus:
 Emits ``BENCH_gen.json`` at the repository root:
     {"gen_throughput": {"generate_per_s", "oracle_per_s",
                         "oracle_cold_s", "oracle_warm_s",
-                        "reduce_steps", "reduce_lines", ...}}
+                        "reduce_steps", "reduce_lines", ...},
+     "_provenance": {commit, Python, host, gen_count, oracle_count}}
 
 Gates are deliberately loose (single-core CI): generation ≥ 50/s,
 warm oracle ≥ 0.4/s, and reduction reaches a fixpoint within budget.
@@ -88,7 +89,9 @@ def _measure(tmp_path) -> dict:
 def test_gen_throughput(benchmark, tmp_path):
     table = {"gen_throughput":
              benchmark.pedantic(lambda: _measure(tmp_path),
-                                iterations=1, rounds=1)}
+                                iterations=1, rounds=1),
+             "_provenance": history.stamp(gen_count=GEN_COUNT,
+                                          oracle_count=ORACLE_COUNT)}
     row = table["gen_throughput"]
     print(f"\ngen: {row['generate_per_s']:.0f} programs/s generated, "
           f"oracle {row['oracle_per_s']:.2f}/s "

@@ -84,6 +84,18 @@ class CallGraph:
         """Defined functions ``name`` may call (direct + indirect)."""
         return set(self.edges.get(name, ()))
 
+    def reachable(self, roots) -> set[str]:
+        """Defined functions reachable from ``roots`` (the defined roots
+        included) along direct and resolved indirect edges."""
+        seen = {name for name in roots if name in self.defined}
+        work = list(seen)
+        while work:
+            for callee in self.edges.get(work.pop(), ()):
+                if callee not in seen:
+                    seen.add(callee)
+                    work.append(callee)
+        return seen
+
     def targets_of(self, call: inst.Call) -> frozenset[str] | None:
         """Resolved target names of a call: a singleton for direct
         calls, the points-to set for indirect ones, None if unknown."""

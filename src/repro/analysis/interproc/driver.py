@@ -51,45 +51,65 @@ ANALYSIS_VERSION = 2
 
 
 class ModuleAnalysis:
-    """Everything the interprocedural pass learned about one module."""
+    """Everything the interprocedural pass learned about one module.
+
+    ``callgraph`` is None only on an empty analysis that has not been
+    run yet (see ``into`` of :func:`analyze_module`)."""
 
     __slots__ = ("callgraph", "summaries", "findings", "stats")
 
-    def __init__(self, callgraph: CallGraph,
-                 summaries: dict[str, FunctionSummary],
-                 findings: list[Finding], stats: dict):
-        self.callgraph = callgraph
-        self.summaries = summaries
-        self.findings = findings
-        self.stats = stats
+    def __init__(self):
+        self.callgraph: CallGraph | None = None
+        self.summaries: dict[str, FunctionSummary] = {}
+        self.findings: list[Finding] = []
+        self.stats = {"functions": 0, "sccs": 0,
+                      "scc_hits": 0, "scc_misses": 0}
 
 
 def analyze_module(module: ir.Module, cache=None,
-                   transform: bool = True) -> ModuleAnalysis:
+                   transform: bool = True, roots=None,
+                   into: ModuleAnalysis | None = None) -> ModuleAnalysis:
     """Run the interprocedural analysis over ``module``.
 
     ``cache`` is a :class:`repro.cache.CompilationCache` (or None); with
     a cache, unchanged SCCs are restored from the ``analysis`` tier
     instead of re-analyzed.  ``transform=False`` computes summaries only
     (for the elision pass) and leaves the module untouched.
+
+    ``roots`` (function names) restricts the walk to the SCCs reachable
+    from them in the call graph; None walks every SCC.  ``into`` is an
+    earlier analysis of the same module and pipeline, extended in place
+    and returned: its call graph is reused and SCCs it already holds
+    are skipped.  A summary depends only on the SCCs below it, so the
+    summaries a demand-driven sequence of calls produces equal those of
+    one whole-module walk.
     """
-    defined = {name: function for name, function in
-               module.functions.items() if function.is_definition}
-    # IR hashes must be taken before mem2reg rewrites the bodies (the
-    # hash is memoized on the function object, so the engine's own use
-    # of the same hash later stays consistent).
-    hashes = {name: function_ir_hash(function)
-              for name, function in defined.items()}
-    with span("analysis:callgraph", functions=len(defined)):
-        callgraph = CallGraph(module)
+    analysis = into if into is not None else ModuleAnalysis()
+    if analysis.callgraph is None:
+        with span("analysis:callgraph",
+                  functions=sum(1 for function in module.functions.values()
+                                if function.is_definition)):
+            analysis.callgraph = CallGraph(module)
+        analysis.stats["functions"] = len(analysis.callgraph.defined)
+        analysis.stats["sccs"] = len(analysis.callgraph.sccs)
+    callgraph = analysis.callgraph
+    summaries = analysis.summaries
+    findings = analysis.findings
+    stats = analysis.stats
+    sccs = callgraph.sccs
+    if roots is not None:
+        wanted = callgraph.reachable(roots)
+        sccs = [scc for scc in sccs if scc[0] in wanted]
     pipeline = "m2r" if transform else "o0"
-    summaries: dict[str, FunctionSummary] = {}
-    findings: list[Finding] = []
-    stats = {"functions": len(defined), "sccs": len(callgraph.sccs),
-             "scc_hits": 0, "scc_misses": 0}
-    for scc in callgraph.sccs:
-        key = _scc_key(callgraph, scc, hashes, summaries, pipeline)
+    for scc in sccs:
+        if scc[0] in summaries:
+            continue  # summarize_scc gives every member a summary
+        key = None
         if cache is not None:
+            # Keys hash the members' IR before _analyze_scc can promote
+            # them (the hash is memoized on the function object, so the
+            # engine's own use of the same hash later stays consistent).
+            key = _scc_key(callgraph, scc, summaries, pipeline)
             decoded = _decode(cache.get_analysis(key), scc)
             if decoded is not None:
                 scc_summaries, scc_findings = decoded
@@ -105,15 +125,18 @@ def analyze_module(module: ir.Module, cache=None,
         stats["scc_misses"] += 1
         scc_findings = _analyze_scc(callgraph, scc, summaries, transform)
         findings.extend(scc_findings)
-        if cache is not None:
+        if key is not None:
             cache.put_analysis(key, _encode(scc, summaries, scc_findings))
-    return ModuleAnalysis(callgraph, summaries, findings, stats)
+    return analysis
 
 
-def module_summaries(module: ir.Module, cache=None
+def module_summaries(module: ir.Module, cache=None, roots=None,
+                     into: ModuleAnalysis | None = None
                      ) -> dict[str, FunctionSummary]:
-    """Summaries over the *unoptimized* module, for the elision pass."""
-    return analyze_module(module, cache=cache, transform=False).summaries
+    """Summaries over the *unoptimized* module, for the elision pass;
+    ``roots`` and ``into`` as for :func:`analyze_module`."""
+    return analyze_module(module, cache=cache, transform=False,
+                          roots=roots, into=into).summaries
 
 
 def _analyze_scc(callgraph: CallGraph, scc: list[str],
@@ -150,8 +173,8 @@ def _analyze_scc(callgraph: CallGraph, scc: list[str],
 
 # -- incremental cache ------------------------------------------------------
 
-def _scc_key(callgraph: CallGraph, scc: list[str], hashes: dict,
-             summaries: dict, pipeline: str) -> str:
+def _scc_key(callgraph: CallGraph, scc: list[str], summaries: dict,
+             pipeline: str) -> str:
     """Cache key for one SCC: member IR (pre-mem2reg) plus the digest of
     every external summary the analysis may consult.  Undefined callees
     are keyed by the member IR alone — their names appear in the printed
@@ -165,7 +188,8 @@ def _scc_key(callgraph: CallGraph, scc: list[str], hashes: dict,
         (callee, summaries[callee].digest() if callee in summaries
          else "") for callee in externals)
     return hash_key("analysis", ANALYSIS_VERSION, pipeline,
-                    sorted((name, hashes[name]) for name in scc),
+                    sorted((name, function_ir_hash(callgraph.defined[name]))
+                           for name in scc),
                     external_digests)
 
 

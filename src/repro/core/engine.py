@@ -133,10 +133,10 @@ class SafeSulong:
         self.max_heap_bytes = max_heap_bytes
         self.max_call_depth = max_call_depth
         self.max_output_bytes = max_output_bytes
-        # Run the static proof pass (opt/elide.py) over each module and
-        # let the interpreter/JIT skip dynamic checks it proved
-        # redundant.  Detection is unaffected: elision requires a proof
-        # that the check cannot fire.
+        # Run the static proof pass (opt/elide.py) over each function
+        # the run prepares and let the interpreter/JIT skip dynamic
+        # checks it proved redundant.  Detection is unaffected: elision
+        # requires a proof that the check cannot fire.
         self.elide_checks = elide_checks
         # Track live heap objects even without leak detection — the
         # provenance renderer's --heap-dump view needs them.
@@ -172,24 +172,20 @@ class SafeSulong:
                 "unresolved functions (Safe Sulong executes no native "
                 f"code, §5): {', '.join('@' + m for m in missing)}")
 
-    def _annotate_elisions(self, module: ir.Module) -> None:
-        """Run the static proof pass once per module (idempotent, but
-        the fixpoint analyses are not free — skip repeats).  The
-        interprocedural summaries it consumes come from the ``analysis``
-        cache tier when a cache is attached."""
-        if getattr(module, "_elide_annotated", False):
-            return
-        from ..opt import elide
-        elide.run_module(module, cache=self.cache)
-        module._elide_annotated = True
-
     # -- execution ---------------------------------------------------------------
 
     def run_module(self, module: ir.Module, argv: list[str] | None = None,
                    stdin: bytes = b"",
                    vfs: dict[str, bytes] | None = None) -> ExecutionResult:
+        elision = None
         if self.elide_checks:
-            self._annotate_elisions(module)
+            # The module's demand-driven elision state, shared by every
+            # engine that runs it: the runtime proves each function the
+            # first time it prepares it, reading summaries (from the
+            # ``analysis`` cache tier when attached) for the SCCs it
+            # reaches only.
+            from ..opt import elide
+            elision = elide.module_elision(module, cache=self.cache)
         if self.cache is not None:
             self.cache.observer = self.observer
         runtime = Runtime(
@@ -197,7 +193,7 @@ class SafeSulong:
             detect_use_after_scope=self.detect_use_after_scope,
             jit_threshold=self.jit_threshold,
             track_heap=self.detect_leaks or self.track_heap,
-            elide_checks=self.elide_checks,
+            elide_checks=self.elide_checks, elision=elision,
             max_heap_bytes=self.max_heap_bytes,
             max_call_depth=self.max_call_depth,
             max_output_bytes=self.max_output_bytes,

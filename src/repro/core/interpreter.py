@@ -102,7 +102,7 @@ class Runtime:
                  jit_threshold: int | None = None,
                  jit_compile_latency: int = 0,
                  track_heap: bool = False,
-                 elide_checks: bool = False,
+                 elide_checks: bool = False, elision=None,
                  max_heap_bytes: int | None = None,
                  max_call_depth: int | None = None,
                  max_output_bytes: int | None = None,
@@ -167,6 +167,10 @@ class Runtime:
         # Opt-in per runtime: modules (notably the shared libc) may carry
         # annotations from a previous engine that enabled the pass.
         self.elide_checks = elide_checks
+        # The module's opt.elide.ModuleElision: when given (with
+        # elide_checks), each function is proved the first time it is
+        # prepared.  None means the caller annotated up front (or not).
+        self.elision = elision if elide_checks else None
         self.heap_objects: list = []
         self.global_objects: dict[str, mo.ManagedObject] = {}
         self.prepared: dict[str, PreparedFunction] = {}
@@ -273,6 +277,9 @@ class Runtime:
         if cached is not None and (cached.function is function
                                    or cached.source_function is function):
             return cached
+        if self.elision is not None:
+            # Before the clone below, which copies the marks.
+            self.elision.prove(function)
         target = function
         if self.speculate:
             # The speculative tier runs the safe-O2-optimized private

@@ -1,6 +1,6 @@
 """Proven-safe check elision (static companion to the dynamic checks).
 
-Runs the pointer/interval analyses over each function and annotates
+Runs the pointer/interval analyses over a function and annotates
 loads, stores, and geps whose dynamic safety checks are *proven*
 redundant:
 
@@ -32,6 +32,13 @@ reach the error, never because an error looks unlikely.  Unoptimized
 works there — no mem2reg required; facts flow through registers, which
 are SSA even at -O0 (and the summaries are computed on the same
 unmutated IR).
+
+The engine proves on demand (:class:`ModuleElision`): a function is
+annotated the first time a runtime prepares it, and summaries are
+computed only for the SCCs the proved functions reach — a corpus run
+prepares about 7 of libc's ~100 definitions.  :func:`run_module` with
+no ``functions`` still annotates a whole module up front (the
+benchmark harness does).
 
 The annotations are inert until a :class:`~repro.core.interpreter.
 Runtime` is created with ``elide_checks=True`` — important because the
@@ -88,9 +95,13 @@ def run(function: ir.Function, summaries: dict | None = None) -> int:
     return elided
 
 
-def run_module(module: ir.Module, cache=None) -> int:
-    """Annotate every function, with interprocedural summaries computed
-    over the module (incrementally, when ``cache`` is given).
+def run_module(module: ir.Module, cache=None, functions=None,
+               analysis=None) -> int:
+    """Annotate ``functions`` (default: every function of ``module``),
+    with interprocedural summaries computed for the SCCs they reach
+    (incrementally, when ``cache`` is given).  ``analysis`` is a
+    :class:`~repro.analysis.interproc.ModuleAnalysis` of the module to
+    reuse and extend (see :class:`ModuleElision`).
 
     A function whose annotations end up *level-1 only* (no level-2
     access, no proven gep) is reset to level 0: a bare level-1 mark
@@ -100,15 +111,62 @@ def run_module(module: ir.Module, cache=None) -> int:
     so with nothing else proven the marks cost more than they save
     (this showed up as nbody's 0.98x in BENCH_elision.json)."""
     from ..analysis.interproc.driver import module_summaries
-    summaries = module_summaries(module, cache=cache)
+    if functions is None:
+        functions = list(module.functions.values())
+        roots = None
+    else:
+        roots = [function.name for function in functions
+                 if function.is_definition]
+    summaries = module_summaries(module, cache=cache, roots=roots,
+                                 into=analysis)
     total = 0
-    for function in module.functions.values():
+    for function in functions:
         elided = run(function, summaries)
         if elided and _level1_only(function):
             _reset(function)
             elided = 0
         total += elided
     return total
+
+
+class ModuleElision:
+    """Demand-driven elision for one linked module.
+
+    :meth:`prove` annotates a function the first time a runtime on the
+    module prepares it.  The summaries it needs — those of the SCCs the
+    function reaches — are computed once into :attr:`analysis` and
+    shared by every later proof, so a run pays for the functions it
+    executes, not for all of libc.  A function's proof reads only its
+    direct callees' summaries, which depend only on their own callees,
+    so each proved function carries the marks a whole-module
+    :func:`run_module` would give it."""
+
+    __slots__ = ("module", "cache", "analysis", "proved")
+
+    def __init__(self, module: ir.Module, cache=None):
+        from ..analysis.interproc.driver import ModuleAnalysis
+        self.module = module
+        self.cache = cache
+        self.analysis = ModuleAnalysis()
+        self.proved: set[str] = set()
+
+    def prove(self, function: ir.Function) -> None:
+        if function.name in self.proved or not function.is_definition:
+            return
+        self.proved.add(function.name)
+        # A module-global lookup: a wrapper installed on
+        # repro.opt.elide.run_module (the per-layer trace) sees it.
+        run_module(self.module, cache=self.cache, functions=[function],
+                   analysis=self.analysis)
+
+
+def module_elision(module: ir.Module, cache=None) -> ModuleElision:
+    """The module's :class:`ModuleElision`, attached on first use (the
+    first caller's ``cache`` serves every later one)."""
+    state = getattr(module, "_elision", None)
+    if state is None:
+        state = module._elision = ModuleElision(module, cache)
+    return state
 
 
 def _level1_only(function: ir.Function) -> bool:

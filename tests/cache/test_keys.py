@@ -7,6 +7,7 @@ import pytest
 from repro.cache import CompilationCache
 from repro.cache import jitcache, prepare
 from repro.core import SafeSulong
+from repro.opt.elide import module_elision
 
 HEADER_TEMPLATE = "#define VALUE {value}\n"
 SOURCE_WITH_INCLUDE = '#include "config.h"\nint value(void) { return VALUE; }\n'
@@ -89,10 +90,12 @@ def _some_function(tmp_path, elide: bool):
     cache = _cache(tmp_path)
     engine = SafeSulong(cache=cache, elide_checks=elide)
     module = engine.compile(SOURCE_LOOP, filename="keys.c")
+    function = next(f for f in module.functions.values()
+                    if f.name == "sum" and f.blocks)
     if elide:
-        engine._annotate_elisions(module)
-    return next(f for f in module.functions.values()
-                if f.name == "sum" and f.blocks)
+        module_elision(module, cache=cache).prove(function)
+        assert any(getattr(i, "elide", 0) for i in function.instructions())
+    return function
 
 
 def test_elision_annotations_change_keys(tmp_path):
