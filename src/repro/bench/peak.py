@@ -15,27 +15,56 @@ DEFAULT_CONFIGURATIONS = ["clang-O0", "clang-O3", "asan-O0", "safe-sulong"]
 
 def measure_peak(program: str, configuration: str, warmup: int = 4,
                  samples: int = 3) -> float:
-    """Best steady-state seconds per iteration.
+    """Best steady-state seconds per iteration (see
+    :func:`measure_peaks`)."""
+    return measure_peaks(program, [configuration], warmup,
+                         samples)[configuration]
+
+
+def measure_peaks(program: str, configurations: list[str],
+                  warmup: int = 4, samples: int = 3,
+                  min_sample_s: float = 0.0) -> dict[str, float]:
+    """Best steady-state seconds per iteration of ``program`` under each
+    configuration.
 
     The minimum is the standard robust estimator for benchmarks: timing
     noise on a shared machine is strictly one-sided (interference only
-    ever makes an iteration slower).  The cycle collector is paused
-    during samples so garbage accumulated by *earlier* experiments in the
-    same process cannot tax this one."""
+    ever makes an iteration slower).  Samples are taken round-robin
+    over the configurations, so a slow phase of the host hits every
+    configuration alike instead of whichever one it happened to meet.
+    The cycle collector is paused during samples so garbage accumulated
+    by *earlier* experiments in the same process cannot tax this one.
+    With ``min_sample_s``, each sample repeats the iteration until it
+    spans at least that long (the last warm-up iteration sets the
+    count), so a program of a few milliseconds is not timed at the
+    scheduler's granularity."""
     import gc
-    session = make_session(program, configuration)
-    for _ in range(warmup):
-        session.run_iteration()
+    import math
+    sessions = {}
+    repeats = {}
+    for configuration in configurations:
+        session = sessions[configuration] = make_session(program,
+                                                         configuration)
+        last = 0.0
+        for _ in range(warmup):
+            last, _output = session.timed_iteration()
+        repeats[configuration] = \
+            max(1, math.ceil(min_sample_s / last)) if last > 0 else 1
+    times: dict[str, list[float]] = {name: [] for name in configurations}
     gc.collect()
     gc.disable()
     try:
-        times = []
         for _ in range(samples):
-            seconds, _output = session.timed_iteration()
-            times.append(seconds)
+            for configuration, session in sessions.items():
+                count = repeats[configuration]
+                total = 0.0
+                for _ in range(count):
+                    seconds, _output = session.timed_iteration()
+                    total += seconds
+                times[configuration].append(total / count)
     finally:
         gc.enable()
-    return min(times)
+    return {name: min(values) for name, values in times.items()}
 
 
 def relative_peaks(programs: list[str] | None = None,

@@ -137,6 +137,11 @@ class CacheStore:
     def memory_drop(self, artifact_class: str, key: str) -> None:
         self._memory.pop((artifact_class, key), None)
 
+    def memory_classes(self) -> list[str]:
+        """The artifact class of every memory-tier entry, sorted."""
+        return sorted(artifact_class for artifact_class, _key
+                      in self._memory)
+
     def memory_put(self, artifact_class: str, key: str, value) -> None:
         memory = self._memory
         memory[(artifact_class, key)] = value

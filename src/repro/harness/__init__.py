@@ -4,9 +4,11 @@ The paper's campaign — thousands of GCC-torture/LLVM-suite programs
 through Safe Sulong — needs the *tool* to out-survive its inputs.  This
 package provides that discipline for any ToolRunner:
 
-* :mod:`.pool` — subprocess worker pool: per-program isolation,
+* :mod:`.pool` — worker pool: per-program process isolation,
   wall-clock watchdog with kill-and-reap, bounded retry-with-backoff,
   and the degradation ladder (elide → full-checks, JIT → interpreter);
+* :mod:`.forkserver` — the pre-imported parent every pool spawn forks
+  from (one child per attempt; the owner decides its lifetime);
 * :mod:`.quotas` — per-run resource budgets (interpreter steps, heap
   bytes, call depth, output bytes) enforced inside the managed engine;
 * :mod:`.triage` — program-bug vs tool-failure classification and
@@ -16,13 +18,14 @@ package provides that discipline for any ToolRunner:
   path is testable in CI;
 * :mod:`.campaign` — the orchestration glue and the ``--selftest``
   smoke;
-* :mod:`.worker` — the ``python -m repro.harness.worker`` subprocess
-  entry point.
+* :mod:`.worker` — the worker entry point a forked child runs (also
+  ``python -m repro.harness.worker JOBFILE``).
 """
 
 from .campaign import collect_programs, run_campaign, selftest
 from .faults import (CRASH_EXIT_CODE, FaultPlan, crash_point,
                      parse_faults, torn_tail)
+from .forkserver import ForkServer
 from .pool import WorkerPool, WorkTask, build_ladder, run_one
 from .quotas import DEFAULT_TIMEOUT, Quotas
 from .report import CampaignReport, campaign_fingerprint, read_report
@@ -30,6 +33,7 @@ from .triage import dedup_bugs, summarize, triage_result
 
 __all__ = [
     "CRASH_EXIT_CODE", "CampaignReport", "DEFAULT_TIMEOUT", "FaultPlan",
+    "ForkServer",
     "Quotas", "WorkTask", "WorkerPool", "build_ladder",
     "campaign_fingerprint", "collect_programs", "crash_point",
     "dedup_bugs",

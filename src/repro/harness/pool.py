@@ -1,7 +1,12 @@
-"""Subprocess worker pool: isolation, watchdog, retries, degradation.
+"""Worker pool: isolation, watchdog, retries, degradation.
 
-One worker process per program run (``--jobs N`` run concurrently).
-The pool is the layer that survives what the engine cannot promise to:
+One worker process per program run (``--jobs N`` run concurrently),
+each forked from a pre-imported fork-server (:mod:`.forkserver`): a
+fresh copy-on-write process per attempt, without a fresh interpreter's
+start-up.  The pool's owner decides how long the fork-server lives (a
+service keeps one across lease batches); a pool run without one starts
+its own and stops it before returning.  The pool is the layer that
+survives what the engine cannot promise to:
 
 * **watchdog** — every attempt gets a wall-clock deadline; a worker
   that outlives it is killed (SIGKILL) and reaped, and the job is
@@ -27,13 +32,12 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import subprocess
-import sys
 import tempfile
 import time
 
 from . import triage
 from .faults import FaultPlan
+from .forkserver import ForkServer
 from .quotas import DEFAULT_TIMEOUT
 
 POLL_INTERVAL = 0.01
@@ -108,7 +112,7 @@ class _TaskState:
     __slots__ = ("task", "rungs", "rung_index", "attempt_in_rung",
                  "total_attempts", "worker_failures", "not_before",
                  "first_start", "worker_seconds", "rung_transitions",
-                 "last_fault")
+                 "last_fault", "spawn_seconds")
 
     def __init__(self, task: WorkTask, rungs: list[Rung]):
         self.task = task
@@ -127,6 +131,9 @@ class _TaskState:
         # queueing and retry backoff.
         self.worker_seconds = 0.0
         self.rung_transitions: list[dict] = []
+        # Spawn request to the worker's first instruction, for the
+        # latest attempt that reported it.
+        self.spawn_seconds: float | None = None
 
     @property
     def rung(self) -> Rung:
@@ -135,28 +142,19 @@ class _TaskState:
 
 class _Active:
     __slots__ = ("state", "proc", "deadline", "out_path", "err_path",
-                 "out_handle", "err_handle", "started")
+                 "started", "requested_at")
 
     def __init__(self, state, proc, deadline, out_path, err_path,
-                 out_handle, err_handle, started):
+                 started, requested_at):
         self.state = state
         self.proc = proc
         self.deadline = deadline
         self.out_path = out_path
         self.err_path = err_path
-        self.out_handle = out_handle
-        self.err_handle = err_handle
         self.started = started
-
-
-def _worker_env() -> dict:
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (src_root + os.pathsep + existing
-                         if existing else src_root)
-    return env
+        # Wall-clock time of the spawn request, comparable with the
+        # worker's own ``started`` stamp.
+        self.requested_at = requested_at
 
 
 class WorkerPool:
@@ -164,7 +162,8 @@ class WorkerPool:
                  retries: int = 2, backoff: float = 0.1,
                  use_ladder: bool = True,
                  fault_plan: FaultPlan | None = None,
-                 on_tick=None, tick_interval: float = 0.5):
+                 on_tick=None, tick_interval: float = 0.5,
+                 fork_server: ForkServer | None = None):
         self.jobs = max(1, jobs)
         self.timeout = timeout
         self.retries = max(0, retries)
@@ -178,10 +177,13 @@ class WorkerPool:
         # genuinely in progress.
         self.on_tick = on_tick
         self.tick_interval = tick_interval
+        # Owned by the caller when given (kept warm across runs); else
+        # each run starts and stops its own.
+        self.fork_server = fork_server
 
     # -- lifecycle of one attempt -------------------------------------------------
 
-    def _spawn(self, state: _TaskState, tmpdir: str,
+    def _spawn(self, server: ForkServer, state: _TaskState, tmpdir: str,
                now: float) -> _Active:
         task = state.task
         rung = state.rung
@@ -205,28 +207,26 @@ class WorkerPool:
             json.dump(payload, handle)
         out_path, err_path = stem + ".out", stem + ".err"
         # File-backed stdout/stderr: a pipe would deadlock the watchdog
-        # if the worker filled it while the pool wasn't reading.
-        out_handle = open(out_path, "wb")
-        err_handle = open(err_path, "wb")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.harness.worker", job_path],
-            stdin=subprocess.DEVNULL, stdout=out_handle, stderr=err_handle,
-            env=_worker_env(), cwd=tmpdir)
+        # if the worker filled it while the pool wasn't reading.  The
+        # files exist before the fork, so a worker killed before its
+        # redirect still leaves (empty) output to collect.
+        for path in (out_path, err_path):
+            open(path, "wb").close()
+        requested_at = time.time()
+        proc = server.spawn(job_path, cwd=tmpdir, stdout=out_path,
+                            stderr=err_path, tool=rung.tool,
+                            options=rung.options)
         state.total_attempts += 1
         return _Active(state, proc, now + self.timeout, out_path,
-                       err_path, out_handle, err_handle, now)
+                       err_path, now, requested_at)
 
     @staticmethod
     def _collect_output(active: _Active) -> tuple[str, str]:
-        active.out_handle.close()
-        active.err_handle.close()
-        with open(active.out_path, "r", encoding="utf-8",
-                  errors="replace") as handle:
-            out = handle.read()
-        with open(active.err_path, "r", encoding="utf-8",
-                  errors="replace") as handle:
-            err = handle.read()
-        return out, err
+        def read(path: str) -> str:
+            with open(path, "r", encoding="utf-8",
+                      errors="replace") as handle:
+                return handle.read()
+        return read(active.out_path), read(active.err_path)
 
     # -- outcome plumbing ---------------------------------------------------------
 
@@ -256,6 +256,8 @@ class WorkerPool:
             "duration_s": round(state.worker_seconds, 3),
             "queue_s": round(max(0.0, elapsed - state.worker_seconds), 3),
             "elapsed_s": round(elapsed, 3),
+            "spawn_s": None if state.spawn_seconds is None
+            else round(state.spawn_seconds, 4),
             "result": result,
         }
         if timed_out:
@@ -363,6 +365,9 @@ class WorkerPool:
             self._handle_worker_failure(state, "unparseable worker output",
                                         pending, now, finish)
             return
+        if isinstance(payload.get("started"), (int, float)):
+            state.spawn_seconds = max(
+                0.0, payload["started"] - active.requested_at)
         if payload.get("ok"):
             finish(self._record(state, result=payload.get("result")))
         else:
@@ -386,6 +391,7 @@ class WorkerPool:
             if on_complete is not None:
                 on_complete(record)
 
+        server = self.fork_server or ForkServer()
         tmpdir = tempfile.mkdtemp(prefix="repro-hunt-")
         pending: list[_TaskState] = [
             _TaskState(task, build_ladder(task.tool, task.options,
@@ -407,7 +413,8 @@ class WorkerPool:
                     if pending[index].not_before <= now:
                         state = pending.pop(index)
                         try:
-                            active.append(self._spawn(state, tmpdir, now))
+                            active.append(self._spawn(
+                                server, state, tmpdir, time.monotonic()))
                         except OSError as error:
                             # Spawn failures (fork pressure, fd
                             # exhaustion) are transient worker failures:
@@ -424,7 +431,8 @@ class WorkerPool:
                         active.remove(entry)
                         self._reap(entry, pending, finish)
                 if pending or active:
-                    time.sleep(POLL_INTERVAL)
+                    # Returns early when a worker's exit is reported.
+                    server.pump(POLL_INTERVAL)
         finally:
             for entry in active:  # interrupted: leave no orphans
                 try:
@@ -432,6 +440,8 @@ class WorkerPool:
                     entry.proc.wait()
                 except OSError:
                     pass
+            if self.fork_server is None:
+                server.stop()
             shutil.rmtree(tmpdir, ignore_errors=True)
         return [records[task.id] for task in tasks if task.id in records]
 

@@ -1,12 +1,15 @@
-"""Worker-process entry point: run exactly one program, report JSON.
+"""Worker entry point: run exactly one program, report JSON.
 
-Invoked by the pool as ``python -m repro.harness.worker JOBFILE``; the
-job file holds one JSON object (see :func:`run_job`).  The worker prints
-a single JSON line to stdout and exits 0 — *any* other behaviour
-(nonzero exit, unparseable output, no output) is treated by the pool as
-a worker crash and fed to the retry/degradation machinery.  The process
-boundary is the isolation guarantee: nothing a hostile program does to
-this interpreter — segfault-grade internal errors, runaway allocation,
+The pool's fork-server (``python -m repro.harness.worker --fork-server``,
+:mod:`.forkserver`) forks one child per job, and the child calls
+:func:`main` with the job file; ``python -m repro.harness.worker
+JOBFILE`` runs the same code in a fresh process.  The job file holds
+one JSON object (see :func:`run_job`).  The worker prints a single JSON
+line to stdout and exits 0 — *any* other behaviour (nonzero exit,
+unparseable output, no output) is treated by the pool as a worker crash
+and fed to the retry/degradation machinery.  The process boundary is
+the isolation guarantee: nothing a hostile program does to this
+interpreter — segfault-grade internal errors, runaway allocation,
 wedged loops — can touch the campaign or its sibling workers.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 import base64
 import json
 import sys
+import time
 import traceback
 
 from ..core.engine import ExecutionResult
@@ -192,10 +196,15 @@ def _prescreen(source: str, filename: str, options: dict) -> list:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The pool reads its launch latency (``spawn_s``) off this stamp.
+    started = time.time()
     argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--fork-server"]:
+        from .forkserver import serve
+        return serve()
     if len(argv) != 1:
-        print("usage: python -m repro.harness.worker JOBFILE",
-              file=sys.stderr)
+        print("usage: python -m repro.harness.worker "
+              "JOBFILE | --fork-server", file=sys.stderr)
         return 2
     if argv[0] == "-":
         job = json.loads(sys.stdin.read())
@@ -214,6 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         payload = {"ok": False,
                    "error_type": type(error).__name__,
                    "error": traceback.format_exc(limit=32)[-4000:]}
+    payload["started"] = started
     sys.stdout.write(json.dumps(payload) + "\n")
     sys.stdout.flush()
     return 0

@@ -72,7 +72,7 @@ class Observer:
 
     __slots__ = ("enabled", "counters", "events", "events_dropped",
                  "t0", "trace_path", "_trace_handle",
-                 "functions", "heap", "steps",
+                 "functions", "proved", "heap", "steps",
                  "lines", "line_counters", "call_edges",
                  "icall_targets", "block_trace", "recorder")
 
@@ -96,6 +96,8 @@ class Observer:
         if self._trace_handle is not None:
             atexit.register(self.close)
         self.functions: list[dict] = []
+        # Functions the demand-driven elision pass proved (``--elide``).
+        self.proved: set[str] = set()
         self.heap: dict = {}
         self.steps = 0
         # Source-line attribution (``repro profile --lines``): opt-in —
@@ -188,6 +190,8 @@ class Observer:
                                      or prepared.compiled is not None)
         self.functions = sorted(
             merged.values(), key=lambda f: (-f["instructions"], f["name"]))
+        if runtime.elision is not None:
+            self.proved.update(runtime.elision.proved)
         meter = runtime.heap_meter
         if meter is not None:
             heap = self.heap
@@ -233,6 +237,8 @@ class Observer:
                 "blocks_entered": self.recorder.steps,
                 "unique_blocks": len(self.recorder.visits),
             }
+        if self.proved:
+            data["proved"] = sorted(self.proved)
         if self.icall_targets:
             data["icall_targets"] = [
                 [str(site), sorted(targets)]

@@ -13,9 +13,10 @@ Five endpoints over one :class:`~.supervisor.Supervisor`:
     same job (``"fresh": false``), possibly already completed.
 ``GET /job/<id>``
     Streams JSONL: one status line per poll interval, then the final
-    completion record.  ``?wait=<seconds>`` bounds how long the request
-    follows an unfinished job (default: one snapshot and close).  The
-    body is close-delimited, so a consumer can follow it line by line.
+    completion record, written the moment the job completes.
+    ``?wait=<seconds>`` bounds how long the request follows an
+    unfinished job (default: one snapshot and close).  The body is
+    close-delimited, so a consumer can follow it line by line.
 ``GET /bugs``
     The deduplicated bug database (:meth:`~.bugdb.BugDatabase.
     snapshot`), serialized canonically — byte-identical across crash
@@ -235,10 +236,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 line = json.dumps(entry, sort_keys=True) + "\n"
                 self.wfile.write(line.encode("utf-8"))
                 self.wfile.flush()
-                if entry.get("state") == DONE \
-                        or time.time() >= deadline:
+                remaining = deadline - time.time()
+                if entry.get("state") == DONE or remaining <= 0:
                     return
-                time.sleep(POLL_INTERVAL)
+                self.server.queue.wait_done(
+                    task_id, min(POLL_INTERVAL, remaining))
         except (BrokenPipeError, ConnectionResetError):
             return
 
@@ -310,6 +312,10 @@ def serve(state_dir: str, host: str = "127.0.0.1", port: int = 0,
         server.server_close()
         worker.join(timeout=5.0)
         listener.join(timeout=5.0)
+        if not worker.is_alive():
+            # A batch still running keeps its fork-server; the control
+            # pipe's EOF at process exit ends it and its children.
+            supervisor.close()
         supervisor.queue.close()
         supervisor.bugdb.close()
     return 0

@@ -84,6 +84,9 @@ class JobQueue:
         # supervisor thread leases/renews/completes — every public
         # method serializes on this lock.
         self._lock = threading.RLock()
+        # Notified on every completion: followers of a job
+        # (``GET /job/<id>?wait=``) wake the moment it is done.
+        self._completed = threading.Condition(self._lock)
         self.tasks: dict[str, dict] = {}
         self.status: dict[str, str] = {}
         self.seq_of: dict[str, int] = {}
@@ -241,7 +244,16 @@ class JobQueue:
             crash_point("queue-complete", task_id)
             self._apply(entry)
             self.maybe_compact()
+            self._completed.notify_all()
         return True
+
+    def wait_done(self, task_id: str, timeout: float) -> bool:
+        """Block until ``task_id`` is done or ``timeout`` seconds have
+        passed; True when it is done."""
+        with self._lock:
+            return self._completed.wait_for(
+                lambda: self.status.get(task_id) == DONE,
+                max(0.0, timeout))
 
     # -- views --------------------------------------------------------------------
 

@@ -5,7 +5,9 @@ The supervisor is the loop between the durable stores and the existing
 
 * **lease → run → record → complete** — it leases queued tasks, fans
   them over a pool batch (every worker sharing the one warm
-  compilation cache via ``options``), and on each completion first
+  compilation cache via ``options``, and forked from the one
+  fork-server the supervisor keeps warm across batches until
+  :meth:`Supervisor.close`), and on each completion first
   appends the findings to the bug database and then marks the queue
   entry done.  The write order is the crash-consistency contract: a
   ``kill -9`` between the two appends redelivers the task, whose
@@ -39,6 +41,7 @@ import threading
 import time
 
 from ..harness import faults
+from ..harness.forkserver import ForkServer
 from ..harness.pool import WorkerPool, WorkTask, build_ladder
 from ..harness.quotas import DEFAULT_TIMEOUT, Quotas
 from ..obs import Observer
@@ -118,6 +121,13 @@ class Supervisor:
         self._torn_tasks: set[str] = set()
         self._steps = 0
         self.last_error: str | None = None
+        # Every batch forks its workers from this one server, so the
+        # imports and the libc bundle are loaded once per service.
+        self.fork_server = ForkServer()
+
+    def close(self) -> None:
+        """Stop the fork-server (call when no batch is running)."""
+        self.fork_server.stop()
 
     # -- admission ----------------------------------------------------------------
 
@@ -230,7 +240,8 @@ class Supervisor:
             jobs=self.jobs, timeout=self.timeout, retries=self.retries,
             backoff=self.backoff, use_ladder=True,
             fault_plan=self.fault_plan,
-            on_tick=lambda ids: self.queue.renew(ids, self.lease_ttl))
+            on_tick=lambda ids: self.queue.renew(ids, self.lease_ttl),
+            fork_server=self.fork_server)
         try:
             pool.run(tasks, on_complete=on_complete)
         except Exception as error:  # noqa: BLE001 — supervision point

@@ -3,6 +3,7 @@ job streaming, canonical /bugs body, health reporting."""
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -159,6 +160,39 @@ class TestJobStream:
         assert status == 200
         assert last["state"] == DONE
         assert last["record"]["triage"] == "ok"
+
+    def test_waiter_wakes_on_completion(self, service):
+        """A follower returns as soon as the job completes, not at the
+        next poll step."""
+        _, _, accepted = _request("POST", service.base + "/submit",
+                                  {"source": "q"})
+        task_id = accepted["id"]
+        queue = service.supervisor.queue
+        completed_at = []
+
+        def finish():
+            queue.lease("w", 1)
+            queue.complete(task_id, {"id": task_id, "triage": "ok"})
+            completed_at.append(time.monotonic())
+
+        # Between two poll steps of the stream (0.25 s apart).
+        timer = threading.Timer(0.37, finish)
+        timer.start()
+        try:
+            status, _, last = _request(
+                "GET", f"{service.base}/job/{task_id}?wait=10")
+            returned_at = time.monotonic()
+        finally:
+            timer.cancel()
+        assert status == 200 and last["state"] == DONE
+        assert returned_at - completed_at[0] < 0.05
+
+    def test_wait_done_times_out_on_unfinished_job(self, service):
+        _, _, accepted = _request("POST", service.base + "/submit",
+                                  {"source": "r"})
+        started = time.monotonic()
+        assert not service.supervisor.queue.wait_done(accepted["id"], 0.1)
+        assert time.monotonic() - started >= 0.09
 
 
 class TestViews:
